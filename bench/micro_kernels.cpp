@@ -15,6 +15,7 @@
 #include "core/encoder.hpp"
 #include "core/binary.hpp"
 #include "core/level_encoder.hpp"
+#include "core/online.hpp"
 #include "core/trainer.hpp"
 #include "lite/builder.hpp"
 #include "lite/interpreter.hpp"
@@ -133,6 +134,49 @@ void BM_QuantizedInterpreterSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 128 * d);
 }
 BENCHMARK(BM_QuantizedInterpreterSample)->Arg(1024)->Arg(4096);
+
+// The same model over a batch (Arg = rows): the interpreter runs each op over
+// the whole row block, so per-row cost should sit below the single-sample
+// figure at the same width (items count rows x MACs, as above).
+void BM_QuantizedInterpreterBatch(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  constexpr std::uint32_t kDim = 1024;
+  const core::Encoder encoder(128, kDim, 8);
+  nn::Graph graph = nn::build_encode_graph(encoder);
+  const auto float_model = lite::build_float_model(graph);
+  const auto calib = random_f(32, 128, 9);
+  const auto quantized = lite::quantize_model(float_model, calib);
+  const lite::LiteInterpreter interpreter(quantized);
+  const auto inputs = random_f(rows, 128, 10);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(interpreter.run(inputs));
+  }
+  state.SetItemsProcessed(state.iterations() * rows * 128 * kDim);
+}
+BENCHMARK(BM_QuantizedInterpreterBatch)->Arg(16);
+
+// Host shadow scoring of one serve chunk (Arg = width d): 16 PAMAP2-shaped
+// samples (27 features) batch-encoded once, then each row scored against 5
+// classes with the learner's cached class norms.
+void BM_ShadowScoreChunk(benchmark::State& state) {
+  core::OnlineConfig config;
+  config.dim = static_cast<std::uint32_t>(state.range(0));
+  config.seed = 12;
+  core::OnlineLearner learner(27, 5, config);
+  const auto warm = random_f(64, 27, 13);
+  for (std::size_t i = 0; i < warm.rows(); ++i) {
+    learner.learn(warm.row(i), static_cast<std::uint32_t>(i % 5));
+  }
+  const auto chunk = random_f(16, 27, 14);
+  for (auto _ : state) {
+    const tensor::MatrixF encoded = learner.encoder().encode_batch(chunk);
+    for (std::size_t i = 0; i < encoded.rows(); ++i) {
+      benchmark::DoNotOptimize(learner.decide_encoded(encoded.row(i)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * chunk.rows());
+}
+BENCHMARK(BM_ShadowScoreChunk)->Arg(2048);
 
 void BM_LevelEncodeSample(benchmark::State& state) {
   const auto d = static_cast<std::uint32_t>(state.range(0));

@@ -72,15 +72,24 @@ OnlineLearner::OnlineLearner(std::uint32_t num_features, std::uint32_t num_class
     : config_(config),
       encoder_(num_features, config.dim, config.seed),
       model_(num_classes, config.dim),
-      stats_(config.error_window) {
+      stats_(config.error_window),
+      class_norms_(model_.class_norms()) {
   HDC_CHECK(config_.learning_rate > 0.0F, "learning rate must be positive");
 }
 
 std::uint32_t OnlineLearner::learn(std::span<const float> sample, std::uint32_t label) {
+  return learn_encoded(encoder_.encode(sample), label);
+}
+
+std::uint32_t OnlineLearner::learn_encoded(std::span<const float> encoded,
+                                           std::uint32_t label, Decision* decision) {
   HDC_CHECK(label < model_.num_classes(), "label out of range");
-  const auto encoded = encoder_.encode(sample);
-  const auto scores = model_.scores(encoded, config_.similarity);
-  const auto predicted = static_cast<std::uint32_t>(tensor::argmax(scores));
+  const auto scores = model_.scores(encoded, config_.similarity, class_norms_);
+  const Decision ranked = rank(scores);
+  if (decision != nullptr) {
+    *decision = ranked;
+  }
+  const std::uint32_t predicted = ranked.predicted;
 
   ++stats_.samples_seen;
   stats_.recent.add(predicted != label);
@@ -92,8 +101,14 @@ std::uint32_t OnlineLearner::learn(std::span<const float> sample, std::uint32_t 
     const float sim_pred = std::clamp(scores[predicted], -1.0F, 1.0F);
     model_.bundle(label, encoded, config_.learning_rate * (1.0F - sim_true));
     model_.detach(predicted, encoded, config_.learning_rate * (1.0F - sim_pred));
+    refresh_norm(label);
+    refresh_norm(predicted);
   }
   return predicted;
+}
+
+void OnlineLearner::refresh_norm(std::uint32_t class_index) {
+  class_norms_[class_index] = tensor::l2_norm(model_.class_hypervectors().row(class_index));
 }
 
 double OnlineLearner::learn_batch(const data::Dataset& batch) {
@@ -102,15 +117,18 @@ double OnlineLearner::learn_batch(const data::Dataset& batch) {
             "batch feature count disagrees with learner");
   HDC_CHECK(batch.num_classes <= model_.num_classes(),
             "batch declares more classes than the learner was built for");
+  // The encoder never adapts, so the whole batch encodes up front; scoring
+  // and updates stay sequential because sample i+1 must see i's update.
+  const tensor::MatrixF encoded = encoder_.encode_batch(batch.features);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < batch.num_samples(); ++i) {
-    correct += learn(batch.features.row(i), batch.labels[i]) == batch.labels[i] ? 1 : 0;
+    correct += learn_encoded(encoded.row(i), batch.labels[i]) == batch.labels[i] ? 1 : 0;
   }
   return static_cast<double>(correct) / static_cast<double>(batch.num_samples());
 }
 
 std::uint32_t OnlineLearner::predict(std::span<const float> sample) const {
-  return model_.predict(encoder_.encode(sample), config_.similarity);
+  return decide(sample).predicted;
 }
 
 std::vector<float> OnlineLearner::encode(std::span<const float> sample) const {
@@ -123,7 +141,10 @@ OnlineLearner::Decision OnlineLearner::decide(std::span<const float> sample) con
 
 OnlineLearner::Decision OnlineLearner::decide_encoded(
     std::span<const float> encoded) const {
-  const auto scores = model_.scores(encoded, config_.similarity);
+  return rank(model_.scores(encoded, config_.similarity, class_norms_));
+}
+
+OnlineLearner::Decision OnlineLearner::rank(std::span<const float> scores) {
   Decision decision;
   decision.predicted = static_cast<std::uint32_t>(tensor::argmax(scores));
   decision.top1 = scores[decision.predicted];
@@ -175,7 +196,8 @@ OnlineLearner::OnlineLearner(OnlineConfig config, Encoder encoder, HdModel model
     : config_(config),
       encoder_(std::move(encoder)),
       model_(std::move(model)),
-      stats_(std::move(stats)) {}
+      stats_(std::move(stats)),
+      class_norms_(model_.class_norms()) {}
 
 void OnlineLearner::serialize(ByteWriter& writer) const {
   writer.write<std::uint32_t>(config_.dim);

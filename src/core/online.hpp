@@ -90,16 +90,6 @@ class OnlineLearner {
   const HdModel& model() const noexcept { return model_; }
   const OnlineStats& stats() const noexcept { return stats_; }
 
-  /// Processes one labeled sample; returns the prediction made *before* the
-  /// update (prequential evaluation).
-  std::uint32_t learn(std::span<const float> sample, std::uint32_t label);
-
-  /// Processes a labeled batch; returns prequential accuracy over it.
-  double learn_batch(const data::Dataset& batch);
-
-  /// Pure prediction, no adaptation.
-  std::uint32_t predict(std::span<const float> sample) const;
-
   /// Prediction plus quality signals (no adaptation): the top-2 scores and
   /// their margin, the confidence signal live monitoring watches for
   /// margin collapse under drift.
@@ -109,6 +99,26 @@ class OnlineLearner {
     float top2 = 0.0F;
     double margin() const { return static_cast<double>(top1) - static_cast<double>(top2); }
   };
+
+  /// Processes one labeled sample; returns the prediction made *before* the
+  /// update (prequential evaluation).
+  std::uint32_t learn(std::span<const float> sample, std::uint32_t label);
+
+  /// `learn` on a pre-encoded hypervector (see `encode`). Scores once, stores
+  /// the pre-update decision in `decision` when non-null (exactly what
+  /// `decide_encoded` would have returned), then updates. Lets a serving loop
+  /// that needs the shadow decision and the update for the same sample pay
+  /// for one encoding and one scoring pass.
+  std::uint32_t learn_encoded(std::span<const float> encoded, std::uint32_t label,
+                              Decision* decision = nullptr);
+
+  /// Processes a labeled batch (encoded once); returns prequential accuracy
+  /// over it.
+  double learn_batch(const data::Dataset& batch);
+
+  /// Pure prediction, no adaptation.
+  std::uint32_t predict(std::span<const float> sample) const;
+
   Decision decide(std::span<const float> sample) const;
 
   /// The encoded hypervector `decide`/`learn` score against the class
@@ -134,10 +144,19 @@ class OnlineLearner {
  private:
   OnlineLearner(OnlineConfig config, Encoder encoder, HdModel model, OnlineStats stats);
 
+  /// Pre-update decision from per-class scores (argmax, top-2).
+  static Decision rank(std::span<const float> scores);
+  /// Recomputes the cached norm of one class row after an update.
+  void refresh_norm(std::uint32_t class_index);
+
   OnlineConfig config_;
   Encoder encoder_;
   HdModel model_;
   OnlineStats stats_;
+  /// L2 norm of each class hypervector, kept in step with `model_`: computed
+  /// at construction and restore, refreshed for the rows an update touches.
+  /// Derived state, so it is never serialized.
+  std::vector<float> class_norms_;
 };
 
 }  // namespace hdc::core

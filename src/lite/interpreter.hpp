@@ -38,7 +38,7 @@ struct InferenceResult {
 /// a real-valued multiplier, 256-entry tanh LUT for int8).
 class LiteInterpreter {
  public:
-  explicit LiteInterpreter(const LiteModel& model);
+  explicit LiteInterpreter(LiteModel model);
 
   const LiteModel& model() const noexcept { return model_; }
 
@@ -55,8 +55,15 @@ class LiteInterpreter {
 
  private:
   struct Scratch;
-  void run_sample(std::span<const float> input, Scratch& scratch,
-                  std::vector<TensorRange>* ranges) const;
+  /// Rows per op pass: a serve chunk's worth, enough to amortize per-op
+  /// overhead and reuse each int8 weight block across rows, while a block's
+  /// activations stay under 1 MB at d = 10,000.
+  static constexpr std::size_t kRowBlock = 16;
+
+  /// Runs every op over rows [row_begin, row_end) of `inputs` into `scratch`,
+  /// recording float tensor ranges when `ranges` is non-null.
+  void run_block(const tensor::MatrixF& inputs, std::size_t row_begin, std::size_t row_end,
+                 Scratch& scratch, std::vector<TensorRange>* ranges) const;
 
   LiteModel model_;
   // Precomputed 256-entry LUTs, one per int8 TANH op (indexed by op order).

@@ -114,6 +114,10 @@ void LiteModel::validate() const {
     if (t.dtype == DType::kInt8) {
       HDC_CHECK(t.quant.enabled() || t.per_channel(),
                 "int8 tensor '" + t.name + "' lacks quantization");
+      // The int8 kernels rely on this: a corrected input x - zero_point then
+      // stays within +-255 (see LiteInterpreter's FULLY_CONNECTED).
+      HDC_CHECK(t.quant.zero_point >= -128 && t.quant.zero_point <= 127,
+                "int8 tensor '" + t.name + "' has a zero point outside [-128, 127]");
     }
     if (t.per_channel()) {
       HDC_CHECK(t.is_constant() && t.shape.size() == 2,

@@ -32,6 +32,20 @@ struct Quantization {
   std::int8_t quantize(float real) const;
 };
 
+/// The int8 kernels' requantization step: `clamp(std::round(real) +
+/// zero_point, -128, 127)` bit for bit, for a zero point in [-128, 127],
+/// without the libm call. Any |real| >= 256 saturates either way, so `real`
+/// is clamped to +-256 first; there an int32 conversion is exact, and
+/// rounding half away from zero is the truncation plus a step on the
+/// (exact) fraction.
+inline std::int8_t round_to_int8(double real, std::int32_t zero_point) {
+  const double v = real >= -256.0 ? (real <= 256.0 ? real : 256.0) : -256.0;
+  const auto whole = static_cast<std::int32_t>(v);
+  const double frac = v - static_cast<double>(whole);
+  const std::int32_t q = whole + (frac >= 0.5 ? 1 : 0) - (frac <= -0.5 ? 1 : 0) + zero_point;
+  return static_cast<std::int8_t>(q < -128 ? -128 : (q > 127 ? 127 : q));
+}
+
 struct LiteTensor {
   std::string name;
   DType dtype = DType::kFloat32;

@@ -816,16 +816,35 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
 
     // Per-sample records: completion times spread uniformly across the
     // chunk's simulated duration, latency includes the admission-queue wait,
-    // margins from the host scoring model.
+    // margins from the host scoring model. The learners' encoders never
+    // adapt, so each chunk is encoded once up front (per learner), and the
+    // shadow decision, the discriminability window and the online update all
+    // read the same rows. Scoring stays per sample: with online updates on,
+    // sample j+1 must be scored against the model j's update left behind, and
+    // learn_encoded returns the decision it made before updating.
+    const tensor::MatrixF encoded = learner.encoder().encode_batch(item.data.features);
+    const tensor::MatrixF reduced_encoded =
+        config.online_updates ? reduced_learner.encoder().encode_batch(item.data.features)
+                              : tensor::MatrixF();
     std::uint64_t host_errors = 0;
     std::uint64_t chunk_correct = 0;
     for (std::size_t j = 0; j < n; ++j) {
       const std::uint32_t predicted = outcome.predictions[j];
       const std::uint32_t label = item.data.labels[j];
-      // Encode once; the decision and the per-dimension discriminability
-      // window both consume the same hypervector.
-      const std::vector<float> encoded = learner.encode(item.data.features.row(j));
-      const core::OnlineLearner::Decision decision = learner.decide_encoded(encoded);
+      const auto hv = encoded.row(j);
+      core::OnlineLearner::Decision decision;
+      if (config.online_updates) {
+        if (learner.learn_encoded(hv, label, &decision) != label) {
+          ++host_errors;
+        }
+        // The reduced-tier learner adapts on the same pass; its update cost
+        // piggybacks on the full learner's charged update below (a documented
+        // simplification that keeps fault-free timings identical to serving
+        // without the ladder).
+        reduced_learner.learn_encoded(reduced_encoded.row(j), label);
+      } else {
+        decision = learner.decide_encoded(hv);
+      }
 
       obs::ServingMonitor::Sample sample;
       sample.at = start + per_sample * static_cast<double>(j + 1);
@@ -846,18 +865,8 @@ ServeResult serve(const CoDesignFramework& framework, const ServeConfig& config)
       msample.top1 = static_cast<double>(decision.top1);
       msample.request_id = static_cast<std::int64_t>(item.index);
       model_stats->record(msample);
-      model_stats->record_dimensions(sample.at, label, encoded);
+      model_stats->record_dimensions(sample.at, label, hv);
 
-      if (config.online_updates) {
-        if (learner.learn(item.data.features.row(j), label) != label) {
-          ++host_errors;
-        }
-        // The reduced-tier learner adapts on the same pass; its update cost
-        // piggybacks on the full learner's charged update below (a documented
-        // simplification that keeps fault-free timings identical to serving
-        // without the ladder).
-        reduced_learner.learn(item.data.features.row(j), label);
-      }
       result.predictions.push_back(predicted);
       chunk_correct += predicted == label ? 1 : 0;
     }

@@ -129,12 +129,15 @@ float l2_norm(std::span<const float> v) {
 }
 
 float cosine(std::span<const float> a, std::span<const float> b) {
-  const float na = l2_norm(a);
-  const float nb = l2_norm(b);
-  if (na == 0.0F || nb == 0.0F) {
+  return cosine(a, b, l2_norm(a), l2_norm(b));
+}
+
+float cosine(std::span<const float> a, std::span<const float> b, float norm_a,
+             float norm_b) {
+  if (norm_a == 0.0F || norm_b == 0.0F) {
     return 0.0F;
   }
-  return dot(a, b) / (na * nb);
+  return dot(a, b) / (norm_a * norm_b);
 }
 
 std::size_t argmax(std::span<const float> v) {

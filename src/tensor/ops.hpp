@@ -32,6 +32,12 @@ float l2_norm(std::span<const float> v);
 /// Cosine similarity; returns 0 when either vector has zero norm.
 float cosine(std::span<const float> a, std::span<const float> b);
 
+/// `cosine` with both norms supplied (each as `l2_norm` computes it): the
+/// same expression and zero guard, for callers that score one query against
+/// many vectors whose norms they already hold.
+float cosine(std::span<const float> a, std::span<const float> b, float norm_a,
+             float norm_b);
+
 /// Index of the maximum element (first occurrence on ties).
 std::size_t argmax(std::span<const float> v);
 std::size_t argmax_i32(std::span<const std::int32_t> v);

@@ -15,6 +15,12 @@ std::string next_model_id(const std::string& name) {
 
 }  // namespace
 
+const lite::LiteModel& CompiledModel::model() const {
+  HDC_CHECK(interpreter != nullptr,
+            "compiled model carries no interpreter; build it with EdgeTpuCompiler::compile");
+  return interpreter->model();
+}
+
 bool CompiledModel::has_device_segment() const {
   for (const auto& op_plan : plan) {
     if (op_plan.placement == Placement::kDevice) {
@@ -151,7 +157,7 @@ CompiledModel EdgeTpuCompiler::compile(lite::LiteModel model) const {
       SimDuration::millis(800) +
       SimDuration::seconds(static_cast<double>(compiled.report.weight_bytes) / 4e6);
 
-  compiled.model = std::move(model);
+  compiled.interpreter = std::make_shared<const lite::LiteInterpreter>(std::move(model));
   return compiled;
 }
 

@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/sim_time.hpp"
+#include "lite/interpreter.hpp"
 #include "lite/model.hpp"
 #include "tpu/systolic.hpp"
 
@@ -34,10 +36,16 @@ struct CompileReport {
 };
 
 struct CompiledModel {
-  lite::LiteModel model;
+  /// Functional executor, built once at compile time (a model compiles once
+  /// and is invoked per chunk). It owns the compiled HDLite model; copies of
+  /// a CompiledModel share both.
+  std::shared_ptr<const lite::LiteInterpreter> interpreter;
   std::vector<OpPlan> plan;  ///< one entry per model op
   CompileReport report;
   std::string id;  ///< unique identity for on-chip caching
+
+  /// The compiled HDLite model (held by `interpreter`).
+  const lite::LiteModel& model() const;
 
   /// Byte width of the activation entering / leaving the device segment.
   std::uint64_t device_input_bytes = 0;

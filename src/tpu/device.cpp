@@ -133,12 +133,13 @@ ExecutionStats EdgeTpuDevice::sample_compute_cost(const CompiledModel& model,
   stats.invocations = 1;
 
   std::uint64_t device_cycles = 0;
-  for (std::size_t i = 0; i < model.model.ops.size(); ++i) {
-    const auto& op = model.model.ops[i];
+  const lite::LiteModel& lite_model = model.model();
+  for (std::size_t i = 0; i < lite_model.ops.size(); ++i) {
+    const auto& op = lite_model.ops[i];
     const auto& plan = model.plan[i];
     if (plan.placement == Placement::kDevice) {
       if (op.code == lite::OpCode::kFullyConnected) {
-        const auto& weights = model.model.tensor(op.inputs[1]);
+        const auto& weights = lite_model.tensor(op.inputs[1]);
         device_cycles += mxu_.matmul_cycles(1, weights.shape[0], weights.shape[1]);
         stats.device_macs += plan.macs_per_sample;
       } else {
@@ -292,8 +293,7 @@ std::pair<lite::InferenceResult, ExecutionStats> EdgeTpuDevice::invoke(
   if (options.mode == ExecutionMode::kFunctional) {
     // Bit-exact int8 semantics; equivalence of the MXU tile engine with
     // these reference kernels is established by the systolic property tests.
-    const lite::LiteInterpreter interpreter(model.model);
-    result = interpreter.run(inputs, trace_);
+    result = model.interpreter->run(inputs, trace_);
   }
   clock_ += stats.total();
   return {std::move(result), stats};
@@ -307,10 +307,6 @@ std::pair<lite::InferenceResult, ExecutionStats> EdgeTpuDevice::invoke_with_faul
   FaultInjector* faults = &*faults_;
 
   const bool functional = options.mode == ExecutionMode::kFunctional;
-  std::optional<lite::LiteInterpreter> interpreter;
-  if (functional) {
-    interpreter.emplace(model.model);
-  }
 
   // Frame checksum of a parameter upload: CRC32 chained over every constant
   // tensor, computed once on first use.
@@ -318,7 +314,7 @@ std::pair<lite::InferenceResult, ExecutionStats> EdgeTpuDevice::invoke_with_faul
   const auto parameter_crc = [&] {
     if (!cached_weights_crc) {
       std::uint32_t crc = 0;
-      for (const auto& tensor : model.model.tensors) {
+      for (const auto& tensor : model.model().tensors) {
         if (tensor.is_constant()) {
           crc = crc32(tensor.data.data(), tensor.data.size(), crc);
         }
@@ -435,7 +431,7 @@ std::pair<lite::InferenceResult, ExecutionStats> EdgeTpuDevice::invoke_with_faul
     if (functional) {
       tensor::MatrixF one_row(1, inputs.cols());
       std::copy_n(inputs.row(row).data(), inputs.cols(), one_row.data());
-      one = interpreter->run(one_row, trace_);
+      one = model.interpreter->run(one_row, trace_);
     }
 
     if (model.has_device_segment()) {

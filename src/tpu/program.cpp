@@ -94,13 +94,14 @@ TpuProgram ProgramAssembler::assemble(const CompiledModel& model) const {
   program.code.push_back(Instruction{
       IsaOp::kDmaIn, static_cast<std::uint32_t>(model.device_input_bytes), 0, 0});
 
-  for (std::size_t i = 0; i < model.model.ops.size(); ++i) {
+  const lite::LiteModel& lite_model = model.model();
+  for (std::size_t i = 0; i < lite_model.ops.size(); ++i) {
     if (model.plan[i].placement != Placement::kDevice) {
       continue;
     }
-    const auto& op = model.model.ops[i];
+    const auto& op = lite_model.ops[i];
     if (op.code == lite::OpCode::kFullyConnected) {
-      const auto& weights = model.model.tensor(op.inputs[1]);
+      const auto& weights = lite_model.tensor(op.inputs[1]);
       const auto tiles_in = static_cast<std::uint32_t>(mxu_.tiles_along_rows(weights.shape[0]));
       const auto tiles_out =
           static_cast<std::uint32_t>(mxu_.tiles_along_cols(weights.shape[1]));
@@ -116,7 +117,7 @@ TpuProgram ProgramAssembler::assemble(const CompiledModel& model) const {
       }
     } else if (op.code == lite::OpCode::kTanh) {
       const auto elements =
-          static_cast<std::uint32_t>(model.model.tensor(op.outputs[0]).num_elements());
+          static_cast<std::uint32_t>(lite_model.tensor(op.outputs[0]).num_elements());
       program.code.push_back(
           Instruction{IsaOp::kActivation, elements, 0, mxu_.elementwise_cycles(elements)});
     } else {

@@ -10,6 +10,8 @@
 #include <fstream>
 #include <string>
 
+#include "test_support.hpp"
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -36,7 +38,7 @@ RunResult run_cli(const std::string& args) {
 class CliTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new fs::path(fs::temp_directory_path() / "hdc_cli_test");
+    dir_ = new fs::path(hdc::test::temp_dir());
     fs::create_directories(*dir_);
     // A small 3-class, 4-feature CSV.
     std::ofstream csv(*dir_ / "train.csv");

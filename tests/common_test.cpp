@@ -13,6 +13,7 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
+#include "test_support.hpp"
 
 namespace hdc {
 namespace {
@@ -308,7 +309,7 @@ TEST(ByteIoTest, PatchU32Overwrites) {
 
 TEST(ByteIoTest, FileRoundTrip) {
   const auto path =
-      (std::filesystem::temp_directory_path() / "hdc_byteio_test.bin").string();
+      (hdc::test::temp_dir() / "hdc_byteio_test.bin").string();
   std::vector<std::uint8_t> payload{10, 20, 30, 40};
   write_file(path, payload);
   EXPECT_EQ(read_file(path), payload);
@@ -384,7 +385,7 @@ std::string read_file(const std::filesystem::path& path) {
 class JsonSinkScope {
  public:
   explicit JsonSinkScope(const char* name)
-      : path_(std::filesystem::temp_directory_path() / name), level_(log::level()) {
+      : path_(hdc::test::temp_dir() / name), level_(log::level()) {
     log::set_json_sink(path_.string());
   }
   ~JsonSinkScope() {
@@ -452,7 +453,7 @@ TEST(LoggingTest, JsonSinkUsesSimulatedTimeProvider) {
 }
 
 TEST(LoggingTest, JsonSinkDetachStopsWriting) {
-  const auto path = std::filesystem::temp_directory_path() / "hdc_log_sink_detach.jsonl";
+  const auto path = hdc::test::temp_dir() / "hdc_log_sink_detach.jsonl";
   const LogLevel before = log::level();
   log::set_level(LogLevel::kWarning);
   log::set_json_sink(path.string());

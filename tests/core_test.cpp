@@ -11,6 +11,7 @@
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
 #include "tensor/ops.hpp"
+#include "test_support.hpp"
 
 namespace hdc::core {
 namespace {
@@ -503,7 +504,7 @@ TEST(SerializeTest, FileRoundTrip) {
   HdModel model(2, 32);
   const TrainedClassifier original{std::move(enc), std::move(model)};
   const auto path =
-      (std::filesystem::temp_directory_path() / "hdc_classifier_test.hdcm").string();
+      (hdc::test::temp_dir() / "hdc_classifier_test.hdcm").string();
   save_classifier(original, path);
   const TrainedClassifier restored = load_classifier(path);
   EXPECT_EQ(restored.encoder.base(), original.encoder.base());

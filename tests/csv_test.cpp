@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "data/csv.hpp"
+#include "test_support.hpp"
 
 namespace hdc::data {
 namespace {
@@ -96,7 +97,7 @@ TEST(CsvTest, LabelColumnOutOfRangeRejected) {
 }
 
 TEST(CsvTest, LoadsFromFile) {
-  const auto path = (std::filesystem::temp_directory_path() / "hdc_csv_test.csv").string();
+  const auto path = (hdc::test::temp_dir() / "hdc_csv_test.csv").string();
   {
     std::ofstream out(path);
     out << "0.1,0.9,up\n0.8,0.2,down\n0.15,0.85,up\n";

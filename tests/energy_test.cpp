@@ -24,6 +24,7 @@
 #include "runtime/framework.hpp"
 #include "runtime/router.hpp"
 #include "runtime/serve.hpp"
+#include "test_support.hpp"
 
 namespace hdc::obs {
 namespace {
@@ -331,7 +332,7 @@ TEST(ServeEnergyTest, ServeRunConservesAndReconcilesWithTheTraces) {
 
 TEST(ServeEnergyTest, CheckpointResumeReproducesEnergyBytesExactly) {
   const runtime::CoDesignFramework framework;
-  const fs::path dir = fs::temp_directory_path() / "hdc_energy_ckpt";
+  const fs::path dir = hdc::test::temp_dir() / "hdc_energy_ckpt";
   fs::remove_all(dir);
   fs::create_directories(dir);
 

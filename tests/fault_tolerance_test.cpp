@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "data/synthetic.hpp"
 #include "lite/builder.hpp"
@@ -216,6 +217,26 @@ TEST_F(FaultInjectionTest, FaultFreeInjectorIsBitIdenticalToCleanPath) {
   EXPECT_EQ(stats.nak_stalls, 0U);
   EXPECT_EQ(stats.sram_scrubs, 0U);
   EXPECT_EQ(stats.device_detaches, 0U);
+}
+
+TEST_F(FaultInjectionTest, PerRowFaultPathMatchesBatchedInterpreter) {
+  // Every transfer stalls once and still delivers, so the fault-aware path
+  // runs the interpreter one row at a time and completes every sample; its
+  // outputs must equal the clean path's batched run bit for bit.
+  tpu::FaultProfile profile;
+  profile.transfer_nak_prob = 1.0;
+  for (const std::size_t threads : {1U, 4U}) {
+    parallel::set_num_threads(threads);
+    auto [clean_result, clean_stats] = clean_invoke();
+    tpu::EdgeTpuDevice device;
+    device.load(compiled_);
+    device.set_fault_injector(tpu::FaultInjector(profile));
+    auto [result, stats] = device.invoke(compiled_, inputs_, options_, host_);
+    EXPECT_GT(stats.nak_stalls, 0U);
+    EXPECT_EQ(result.values.storage(), clean_result.values.storage());
+    EXPECT_EQ(result.classes, clean_result.classes);
+  }
+  parallel::set_num_threads(0);
 }
 
 TEST_F(FaultInjectionTest, CheckedTransferChargesNakStalls) {

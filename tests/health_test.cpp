@@ -25,6 +25,7 @@
 #include "runtime/framework.hpp"
 #include "runtime/health.hpp"
 #include "runtime/serve.hpp"
+#include "test_support.hpp"
 
 namespace hdc::runtime {
 namespace {
@@ -405,7 +406,7 @@ std::string read_binary(const fs::path& path) {
 
 TEST(ServeCheckpointTest, ResumeIsByteIdenticalToUninterruptedRun) {
   const CoDesignFramework framework;
-  const fs::path dir = fs::temp_directory_path() / "hdc_serve_ckpt";
+  const fs::path dir = hdc::test::temp_dir() / "hdc_serve_ckpt";
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -516,7 +517,7 @@ TEST(ServeCheckpointTest, ModelStatsResumeIsByteIdentical) {
   // Prometheus families byte-for-byte, and the checkpoint inspector's
   // hdc-modelstats-v1 wrapper agrees across the restart.
   const CoDesignFramework framework;
-  const fs::path dir = fs::temp_directory_path() / "hdc_serve_ckpt_model";
+  const fs::path dir = hdc::test::temp_dir() / "hdc_serve_ckpt_model";
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -552,7 +553,7 @@ TEST(ServeCheckpointTest, ModelStatsResumeIsByteIdentical) {
 
 TEST(ServeCheckpointTest, ResumeRejectsMismatchedConfigAndCorruptBytes) {
   const CoDesignFramework framework;
-  const fs::path dir = fs::temp_directory_path() / "hdc_serve_ckpt_guard";
+  const fs::path dir = hdc::test::temp_dir() / "hdc_serve_ckpt_guard";
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -699,7 +700,7 @@ TEST(ServeTraceTest, ExemplarsStayBoundedAndAlarmExemplarsResolve) {
 }
 
 TEST(ServeCheckpointTest, ResumedTraceMatchesUninterruptedRunsSpans) {
-  const fs::path dir = fs::temp_directory_path() / "hdc_serve_trace_ckpt";
+  const fs::path dir = hdc::test::temp_dir() / "hdc_serve_trace_ckpt";
   fs::remove_all(dir);
   fs::create_directories(dir);
 

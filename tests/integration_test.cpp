@@ -21,6 +21,7 @@
 #include "runtime/autotune.hpp"
 #include "runtime/framework.hpp"
 #include "tpu/device.hpp"
+#include "test_support.hpp"
 
 namespace hdc {
 namespace {
@@ -59,7 +60,7 @@ TEST_F(IntegrationTest, TrainPersistReloadDeployPreservesPredictions) {
 
   // Persist + reload the classifier.
   const auto path =
-      (std::filesystem::temp_directory_path() / "integration.hdcm").string();
+      (hdc::test::temp_dir() / "integration.hdcm").string();
   core::save_classifier(trained.classifier, path);
   const core::TrainedClassifier reloaded = core::load_classifier(path);
   std::filesystem::remove(path);

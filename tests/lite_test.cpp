@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
@@ -14,6 +17,7 @@
 #include "lite/serialize.hpp"
 #include "nn/wide_nn.hpp"
 #include "tensor/ops.hpp"
+#include "test_support.hpp"
 
 namespace hdc::lite {
 namespace {
@@ -70,6 +74,26 @@ TEST(LiteModelTest, QuantizeSaturates) {
   EXPECT_EQ(q.quantize(-100.0F), -128);
 }
 
+TEST(LiteModelTest, RoundToInt8MatchesRoundThenClamp) {
+  std::vector<double> values = {0.0, -0.0, 1e300, -1e300, INFINITY, -INFINITY,
+                                255.5, -255.5, 256.0, -256.0, 2147483648.5};
+  for (int half = -700; half <= 700; ++half) {  // every tie in [-350, 350]
+    const double tie = half * 0.5;
+    values.insert(values.end(), {tie, std::nextafter(tie, -1e9), std::nextafter(tie, 1e9)});
+  }
+  Rng rng(61);
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back((rng.next_double() - 0.5) * (i % 2 == 0 ? 600.0 : 1e7));
+  }
+  for (const std::int32_t zero_point : {-128, -5, 0, 7, 127}) {
+    for (const double v : values) {
+      const double reference = std::clamp(std::round(v) + zero_point, -128.0, 127.0);
+      ASSERT_EQ(round_to_int8(v, zero_point), static_cast<std::int8_t>(reference))
+          << "v=" << v << " zero_point=" << zero_point;
+    }
+  }
+}
+
 TEST(LiteModelTest, DisabledQuantThrowsOnUse) {
   const Quantization q;
   EXPECT_FALSE(q.enabled());
@@ -117,6 +141,21 @@ TEST(LiteModelTest, ValidateCatchesInt8WithoutQuant) {
   b.set_input(in);
   b.set_output(q);
   EXPECT_THROW(b.finish(), Error);
+}
+
+TEST(LiteModelTest, ValidateCatchesInt8ZeroPointOutsideInt8) {
+  const Fixture fx = make_fixture(64);
+  const LiteModel float_model =
+      build_float_model(nn::build_inference_graph(fx.classifier, "zero_point"));
+  LiteModel model = quantize_model(float_model, fx.train.features);
+  model.validate();
+  for (LiteTensor& t : model.tensors) {
+    if (t.dtype == DType::kInt8 && !t.is_constant()) {
+      t.quant.zero_point = 128;
+      break;
+    }
+  }
+  EXPECT_THROW(model.validate(), Error);
 }
 
 TEST(LiteModelTest, ValidateCatchesArgMaxNotLast) {
@@ -509,11 +548,189 @@ TEST(LiteSerializeTest, FileRoundTrip) {
   const LiteModel model =
       build_float_model(nn::build_encode_graph(fx.classifier.encoder));
   const auto path =
-      (std::filesystem::temp_directory_path() / "hdc_lite_test.hdlt").string();
+      (hdc::test::temp_dir() / "hdc_lite_test.hdlt").string();
   save_model(model, path);
   const LiteModel restored = load_model(path);
   EXPECT_EQ(restored.name, model.name);
   std::filesystem::remove(path);
+}
+
+// ------------------------------------------------- batched interpreter ----
+
+/// One row through `model` with the interpreter's semantics, written as the
+/// plain per-sample loop (one activation vector per tensor, a GEMV per
+/// FULLY_CONNECTED, the tanh LUT entry computed in place). Returns the row of
+/// InferenceResult::values the interpreter must produce.
+std::vector<float> reference_row(const LiteModel& model, std::span<const float> input) {
+  std::vector<std::vector<float>> f32(model.tensors.size());
+  std::vector<std::vector<std::int8_t>> i8(model.tensors.size());
+  f32[model.input].assign(input.begin(), input.end());
+  std::int32_t cls = -1;
+  for (const LiteOp& op : model.ops) {
+    const LiteTensor& in = model.tensor(op.inputs[0]);
+    const LiteTensor& out = model.tensor(op.outputs[0]);
+    switch (op.code) {
+      case OpCode::kFullyConnected: {
+        const LiteTensor& w = model.tensor(op.inputs[1]);
+        const std::size_t n_in = w.shape[0];
+        const std::size_t n_out = w.shape[1];
+        if (in.dtype == DType::kFloat32) {
+          const float* wd = w.typed_data<float>();
+          std::vector<float>& y = f32[op.outputs[0]];
+          y.assign(n_out, 0.0F);
+          for (std::size_t i = 0; i < n_in; ++i) {
+            const float xi = f32[op.inputs[0]][i];
+            if (xi == 0.0F) {
+              continue;
+            }
+            for (std::size_t j = 0; j < n_out; ++j) {
+              y[j] += xi * wd[i * n_out + j];
+            }
+          }
+        } else {
+          const std::int8_t* wd = w.typed_data<std::int8_t>();
+          std::vector<std::int64_t> acc(n_out, 0);
+          for (std::size_t i = 0; i < n_in; ++i) {
+            const std::int64_t xi = i8[op.inputs[0]][i] - in.quant.zero_point;
+            for (std::size_t j = 0; j < n_out; ++j) {
+              acc[j] += xi * wd[i * n_out + j];
+            }
+          }
+          std::vector<std::int8_t>& y = i8[op.outputs[0]];
+          y.resize(n_out);
+          const double in_over_out = static_cast<double>(in.quant.scale) /
+                                     static_cast<double>(out.quant.scale);
+          for (std::size_t j = 0; j < n_out; ++j) {
+            const double w_scale = static_cast<double>(
+                w.per_channel() ? w.channel_scales[j] : w.quant.scale);
+            const double scaled =
+                std::round(static_cast<double>(acc[j]) * in_over_out * w_scale) +
+                out.quant.zero_point;
+            y[j] = static_cast<std::int8_t>(std::clamp(scaled, -128.0, 127.0));
+          }
+        }
+        break;
+      }
+      case OpCode::kTanh:
+        if (in.dtype == DType::kFloat32) {
+          f32[op.outputs[0]] = f32[op.inputs[0]];
+          tensor::tanh_inplace(f32[op.outputs[0]]);
+        } else {
+          i8[op.outputs[0]].clear();
+          for (const std::int8_t q : i8[op.inputs[0]]) {
+            i8[op.outputs[0]].push_back(out.quant.quantize(std::tanh(in.quant.dequantize(q))));
+          }
+        }
+        break;
+      case OpCode::kQuantize:
+        i8[op.outputs[0]].clear();
+        for (const float v : f32[op.inputs[0]]) {
+          i8[op.outputs[0]].push_back(out.quant.quantize(v));
+        }
+        break;
+      case OpCode::kDequantize:
+        f32[op.outputs[0]].clear();
+        for (const std::int8_t q : i8[op.inputs[0]]) {
+          f32[op.outputs[0]].push_back(in.quant.dequantize(q));
+        }
+        break;
+      case OpCode::kArgMax:
+        if (in.dtype == DType::kFloat32) {
+          cls = static_cast<std::int32_t>(tensor::argmax(f32[op.inputs[0]]));
+        } else {
+          const auto& x = i8[op.inputs[0]];
+          cls = static_cast<std::int32_t>(std::max_element(x.begin(), x.end()) - x.begin());
+        }
+        break;
+    }
+  }
+  if (cls >= 0) {
+    return {static_cast<float>(cls)};
+  }
+  const LiteTensor& out = model.tensor(model.output);
+  if (out.dtype == DType::kFloat32) {
+    return f32[model.output];
+  }
+  std::vector<float> values;
+  for (const std::int8_t q : i8[model.output]) {
+    values.push_back(out.quant.dequantize(q));
+  }
+  return values;
+}
+
+void expect_batched_run_matches_rows(const LiteModel& model, const tensor::MatrixF& inputs) {
+  const LiteInterpreter interpreter(model);
+  for (const std::size_t threads : {1U, 4U}) {
+    parallel::set_num_threads(threads);
+    const InferenceResult batched = interpreter.run(inputs);
+    ASSERT_EQ(batched.values.rows(), inputs.rows());
+    for (std::size_t row = 0; row < inputs.rows(); ++row) {
+      const std::vector<float> want = reference_row(model, inputs.row(row));
+      const auto got = batched.values.row(row);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+          << model.name << " row " << row << " at " << threads << " threads";
+      if (batched.has_classes) {
+        EXPECT_EQ(static_cast<float>(batched.classes[row]), want[0]);
+      }
+    }
+  }
+  parallel::set_num_threads(0);
+}
+
+/// 37 rows: more than two interpreter row blocks, and uneven thread chunks.
+tensor::MatrixF batch_inputs(const Fixture& fx) {
+  tensor::MatrixF inputs(37, fx.test.num_features());
+  for (std::size_t r = 0; r < inputs.rows(); ++r) {
+    const auto src = fx.test.features.row(r % fx.test.num_samples());
+    std::copy(src.begin(), src.end(), inputs.row(r).begin());
+  }
+  inputs.row(5)[0] = 0.0F;  // exercise the zero-input skip
+  return inputs;
+}
+
+TEST(BatchedInterpreterTest, FloatModelMatchesPerRowReference) {
+  const Fixture fx = make_fixture(256);
+  const LiteModel model =
+      build_float_model(nn::build_inference_graph(fx.classifier, "float_classifier"));
+  expect_batched_run_matches_rows(model, batch_inputs(fx));
+  const LiteModel encode = build_float_model(nn::build_encode_graph(fx.classifier.encoder));
+  expect_batched_run_matches_rows(encode, batch_inputs(fx));
+}
+
+TEST(BatchedInterpreterTest, Int8PerTensorModelMatchesPerRowReference) {
+  const Fixture fx = make_fixture(256);
+  const LiteModel float_model =
+      build_float_model(nn::build_inference_graph(fx.classifier, "int8_classifier"));
+  expect_batched_run_matches_rows(quantize_model(float_model, fx.train.features),
+                                  batch_inputs(fx));
+  QuantizeOptions dequantized;
+  dequantized.dequantize_output = true;
+  const LiteModel encode = build_float_model(nn::build_encode_graph(fx.classifier.encoder));
+  expect_batched_run_matches_rows(quantize_model(encode, fx.train.features, dequantized),
+                                  batch_inputs(fx));
+}
+
+TEST(BatchedInterpreterTest, Int8PerChannelModelMatchesPerRowReference) {
+  const Fixture fx = make_fixture(256);
+  QuantizeOptions options;
+  options.per_channel_weights = true;
+  const LiteModel float_model =
+      build_float_model(nn::build_inference_graph(fx.classifier, "per_channel_classifier"));
+  const LiteModel quantized = quantize_model(float_model, fx.train.features, options);
+  ASSERT_TRUE(std::any_of(quantized.tensors.begin(), quantized.tensors.end(),
+                          [](const LiteTensor& t) { return t.per_channel(); }));
+  expect_batched_run_matches_rows(quantized, batch_inputs(fx));
+}
+
+TEST(BatchedInterpreterTest, EmptyBatchYieldsEmptyResult) {
+  const Fixture fx = make_fixture(128);
+  const LiteInterpreter interpreter(
+      build_float_model(nn::build_inference_graph(fx.classifier, "empty")));
+  const InferenceResult result =
+      interpreter.run(tensor::MatrixF(0, fx.test.num_features()));
+  EXPECT_EQ(result.values.rows(), 0U);
+  EXPECT_TRUE(result.classes.empty());
 }
 
 }  // namespace

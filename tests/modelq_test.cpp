@@ -16,6 +16,7 @@
 #include "runtime/framework.hpp"
 #include "runtime/router.hpp"
 #include "runtime/serve.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -56,10 +57,7 @@ runtime::ServeConfig serve_config() {
 class ModelqTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("hdc_modelq_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = hdc::test::temp_dir();
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -18,6 +18,7 @@
 #include "obs/monitor.hpp"
 #include "runtime/framework.hpp"
 #include "runtime/serve.hpp"
+#include "test_support.hpp"
 
 namespace hdc::obs {
 namespace {
@@ -547,7 +548,7 @@ TEST(ServeTest, MonitorConfigurationCannotChangeResults) {
   tweaked.monitor.alarm_drift_score = 0.0001;           // alarms fire constantly
   tweaked.monitor.alarm_error_rate = 0.0001;
   tweaked.monitor.min_samples = 1;
-  const fs::path dir = fs::temp_directory_path() / "hdc_serve_invariance";
+  const fs::path dir = hdc::test::temp_dir() / "hdc_serve_invariance";
   fs::create_directories(dir);
   tweaked.snapshot_dir = dir.string();
   tweaked.snapshot_every_chunks = 1;
@@ -619,8 +620,8 @@ TEST(ServeTest, DriftScenarioRaisesAlarmAndOnlineUpdatesRecover) {
 
 TEST(ServeTest, SnapshotsAreByteIdenticalAcrossRuns) {
   const CoDesignFramework framework;
-  const fs::path dir_a = fs::temp_directory_path() / "hdc_serve_det_a";
-  const fs::path dir_b = fs::temp_directory_path() / "hdc_serve_det_b";
+  const fs::path dir_a = hdc::test::temp_dir() / "hdc_serve_det_a";
+  const fs::path dir_b = hdc::test::temp_dir() / "hdc_serve_det_b";
   ServeConfig config = drift_config(true);
   config.serve_chunks = 5;
   config.snapshot_every_chunks = 2;

@@ -29,6 +29,7 @@
 #include "runtime/framework.hpp"
 #include "runtime/report.hpp"
 #include "tpu/stats.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -337,7 +338,7 @@ TEST(TraceContextTest, RequestScopeStampsEventsAndExportsReqArg) {
 
 TEST(TraceContextTest, EventCapWarnsOnceInsteadOfSilentlyDropping) {
   const std::filesystem::path sink =
-      std::filesystem::temp_directory_path() / "hdc_trace_drop_warn.jsonl";
+      hdc::test::temp_dir() / "hdc_trace_drop_warn.jsonl";
   std::filesystem::remove(sink);
   log::set_json_sink(sink.string());
 
@@ -1010,7 +1011,7 @@ std::string slurp(const fs::path& path) {
 class ObsCliTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new fs::path(fs::temp_directory_path() / "hdc_obs_cli_test");
+    dir_ = new fs::path(hdc::test::temp_dir());
     fs::create_directories(*dir_);
     std::ofstream csv(*dir_ / "data.csv");
     for (int i = 0; i < 240; ++i) {

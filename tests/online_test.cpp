@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
 #include <cmath>
+#include <cstring>
 
+#include "common/byte_io.hpp"
+#include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "core/online.hpp"
 #include "core/trainer.hpp"
 #include "data/stream.hpp"
@@ -355,6 +358,215 @@ TEST(OnlineLearnerTest, SinglePassCompetitiveWithIteratedTraining) {
 
   EXPECT_GT(online_acc, iterated_acc - 0.08)
       << "single-pass " << online_acc << " vs iterated " << iterated_acc;
+}
+
+// ------------------------------------------- encode once, score once ----
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Restores the default host thread count when a test changes it.
+struct ThreadsScope {
+  explicit ThreadsScope(std::size_t n) { parallel::set_num_threads(n); }
+  ~ThreadsScope() { parallel::set_num_threads(0); }
+};
+
+void expect_batch_rows_match_single_encodes(const Encoder& encoder,
+                                            const tensor::MatrixF& samples) {
+  const tensor::MatrixF batch = encoder.encode_batch(samples);
+  ASSERT_EQ(batch.rows(), samples.rows());
+  for (std::size_t i = 0; i < samples.rows(); ++i) {
+    EXPECT_TRUE(same_bits(batch.row(i), encoder.encode(samples.row(i))))
+        << "row " << i << " at d=" << encoder.dim();
+  }
+}
+
+TEST(EncodeOnceTest, BatchRowsMatchSingleEncodesBitForBit) {
+  data::SyntheticSpec spec = task_spec();
+  const data::Dataset ds = data::generate_synthetic(spec, 70);
+  for (const std::size_t threads : {1U, 4U}) {
+    const ThreadsScope scope(threads);
+    for (const std::uint32_t dim : {256U, 2048U}) {
+      const Encoder plain(spec.features, dim, 31);
+      expect_batch_rows_match_single_encodes(plain, ds.features);
+
+      // Bagging's feature mask zeroes whole base rows, which both kernels
+      // skip; the skip must not change the accumulation order either.
+      Encoder masked(spec.features, dim, 32);
+      std::vector<std::uint8_t> mask(spec.features, 1);
+      for (std::size_t f = 0; f < mask.size(); f += 3) {
+        mask[f] = 0;
+      }
+      masked.apply_feature_mask(mask);
+      expect_batch_rows_match_single_encodes(masked, ds.features);
+    }
+  }
+}
+
+/// The learner as it was before scoring was cached: every call encodes the
+/// sample, recomputes every norm through tensor::cosine, decides, and then
+/// `learn` scores the same encoding a second time.
+struct ReferenceLearner {
+  Encoder encoder;
+  HdModel model;
+  OnlineConfig config;
+  std::uint64_t samples_seen = 0;
+  std::uint64_t errors = 0;
+
+  std::vector<float> scores(std::span<const float> encoded) const {
+    std::vector<float> out(model.num_classes());
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      const auto hv = model.class_hypervectors().row(c);
+      out[c] = config.similarity == Similarity::kCosine ? tensor::cosine(encoded, hv)
+                                                        : tensor::dot(encoded, hv);
+    }
+    return out;
+  }
+
+  OnlineLearner::Decision decide_encoded(std::span<const float> encoded) const {
+    const std::vector<float> s = scores(encoded);
+    OnlineLearner::Decision d;
+    d.predicted = static_cast<std::uint32_t>(tensor::argmax(s));
+    d.top1 = s[d.predicted];
+    bool has_second = false;
+    for (std::size_t c = 0; c < s.size(); ++c) {
+      if (c != d.predicted && (!has_second || s[c] > d.top2)) {
+        d.top2 = s[c];
+        has_second = true;
+      }
+    }
+    return d;
+  }
+
+  std::uint32_t learn(std::span<const float> sample, std::uint32_t label) {
+    const std::vector<float> encoded = encoder.encode(sample);
+    const std::vector<float> s = scores(encoded);
+    const auto predicted = static_cast<std::uint32_t>(tensor::argmax(s));
+    ++samples_seen;
+    if (predicted != label) {
+      ++errors;
+      const float sim_true = std::clamp(s[label], -1.0F, 1.0F);
+      const float sim_pred = std::clamp(s[predicted], -1.0F, 1.0F);
+      model.bundle(label, encoded, config.learning_rate * (1.0F - sim_true));
+      model.detach(predicted, encoded, config.learning_rate * (1.0F - sim_pred));
+    }
+    return predicted;
+  }
+};
+
+void expect_learn_encoded_matches_reference(Similarity similarity) {
+  data::StreamConfig cfg;
+  cfg.spec = task_spec();
+  cfg.chunk_size = 64;
+  cfg.drift_start_chunk = 6;
+  cfg.drift_duration_chunks = 6;
+  data::DriftStream stream(cfg);
+
+  OnlineConfig ocfg = small_online();
+  ocfg.similarity = similarity;
+  OnlineLearner learner(cfg.spec.features, cfg.spec.classes, ocfg);
+  ReferenceLearner ref{Encoder(learner.encoder().base()), HdModel(cfg.spec.classes, ocfg.dim),
+                       ocfg};
+
+  std::size_t samples = 0;
+  std::uint64_t ref_wrong = 0;
+  for (std::uint32_t c = 0; c < 18; ++c) {  // 1,152 samples through the drift
+    const data::Dataset chunk = stream.next_chunk();
+    const tensor::MatrixF encoded = learner.encoder().encode_batch(chunk.features);
+    for (std::size_t j = 0; j < chunk.num_samples(); ++j, ++samples) {
+      const std::uint32_t label = chunk.labels[j];
+      const OnlineLearner::Decision want =
+          ref.decide_encoded(ref.encoder.encode(chunk.features.row(j)));
+      const std::uint32_t want_predicted = ref.learn(chunk.features.row(j), label);
+      ref_wrong += want_predicted != label ? 1 : 0;
+
+      OnlineLearner::Decision got;
+      const std::uint32_t got_predicted = learner.learn_encoded(encoded.row(j), label, &got);
+      ASSERT_EQ(got_predicted, want_predicted) << "sample " << samples;
+      ASSERT_EQ(got.predicted, want.predicted) << "sample " << samples;
+      ASSERT_TRUE(same_bits(got.top1, want.top1)) << "sample " << samples;
+      ASSERT_TRUE(same_bits(got.top2, want.top2)) << "sample " << samples;
+    }
+    ASSERT_EQ(learner.model().class_hypervectors(), ref.model.class_hypervectors())
+        << "after chunk " << c;
+  }
+  EXPECT_GE(samples, 1000U);
+  EXPECT_EQ(learner.stats().samples_seen, ref.samples_seen);
+  EXPECT_EQ(learner.stats().errors, ref.errors);
+  EXPECT_GT(ref_wrong, 0U) << "the stream must exercise the update path";
+  EXPECT_TRUE(same_bits(learner.model().class_hypervectors().storage(),
+                        ref.model.class_hypervectors().storage()));
+}
+
+TEST(EncodeOnceTest, LearnEncodedWithCachedNormsMatchesEncodeDecideLearn) {
+  expect_learn_encoded_matches_reference(Similarity::kCosine);
+}
+
+TEST(EncodeOnceTest, LearnEncodedMatchesReferenceUnderDotSimilarity) {
+  expect_learn_encoded_matches_reference(Similarity::kDot);
+}
+
+TEST(EncodeOnceTest, WrappersAgreeWithLearnEncoded) {
+  data::StreamConfig cfg;
+  cfg.spec = task_spec();
+  data::DriftStream stream(cfg);
+  OnlineLearner a(cfg.spec.features, cfg.spec.classes, small_online());
+  OnlineLearner b(cfg.spec.features, cfg.spec.classes, small_online());
+  const data::Dataset chunk = stream.next_chunk();
+  for (std::size_t i = 0; i < chunk.num_samples(); ++i) {
+    const auto x = chunk.features.row(i);
+    const OnlineLearner::Decision before = a.decide(x);
+    EXPECT_EQ(a.predict(x), before.predicted);
+    OnlineLearner::Decision seen;
+    EXPECT_EQ(a.learn(x, chunk.labels[i]), b.learn_encoded(b.encode(x), chunk.labels[i], &seen));
+    EXPECT_EQ(seen.predicted, before.predicted);
+    EXPECT_TRUE(same_bits(seen.top1, before.top1));
+    EXPECT_TRUE(same_bits(seen.top2, before.top2));
+  }
+  EXPECT_EQ(a.model().class_hypervectors(), b.model().class_hypervectors());
+}
+
+TEST(EncodeOnceTest, RestoredLearnerDecidesLikeTheLiveLearner) {
+  data::StreamConfig cfg;
+  cfg.spec = task_spec();
+  cfg.chunk_size = 64;
+  cfg.drift_start_chunk = 3;
+  cfg.drift_duration_chunks = 4;
+  data::DriftStream stream(cfg);
+  OnlineLearner live(cfg.spec.features, cfg.spec.classes, small_online());
+  for (int c = 0; c < 4; ++c) {
+    live.learn_batch(stream.next_chunk());
+  }
+
+  ByteWriter writer;
+  live.serialize(writer);
+  const std::vector<std::uint8_t> bytes = writer.take();
+  ByteReader reader(bytes);
+  OnlineLearner restored = OnlineLearner::deserialize(reader);
+
+  // Both keep learning in lockstep: the restored learner's norms are rebuilt
+  // from the checkpointed class matrix, not carried over.
+  for (int c = 0; c < 4; ++c) {
+    const data::Dataset chunk = stream.next_chunk();
+    const tensor::MatrixF encoded = live.encoder().encode_batch(chunk.features);
+    for (std::size_t j = 0; j < chunk.num_samples(); ++j) {
+      const OnlineLearner::Decision want = live.decide_encoded(encoded.row(j));
+      const OnlineLearner::Decision got = restored.decide_encoded(encoded.row(j));
+      ASSERT_EQ(got.predicted, want.predicted);
+      ASSERT_TRUE(same_bits(got.top1, want.top1));
+      ASSERT_TRUE(same_bits(got.top2, want.top2));
+      ASSERT_EQ(restored.learn_encoded(encoded.row(j), chunk.labels[j]),
+                live.learn_encoded(encoded.row(j), chunk.labels[j]));
+    }
+  }
+  ByteWriter live_bytes;
+  live.serialize(live_bytes);
+  ByteWriter restored_bytes;
+  restored.serialize(restored_bytes);
+  EXPECT_EQ(restored_bytes.take(), live_bytes.take());
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <fstream>
 #include <string>
 
+#include "test_support.hpp"
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -54,10 +56,7 @@ std::string bench_json(double sim_lower, double sim_higher, double wall) {
 class PerfdiffTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("hdc_perfdiff_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = hdc::test::temp_dir();
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -11,6 +11,7 @@
 #include "data/synthetic.hpp"
 #include "runtime/autotune.hpp"
 #include "runtime/results.hpp"
+#include "test_support.hpp"
 
 namespace hdc::runtime {
 namespace {
@@ -48,7 +49,7 @@ TEST(ResultTableTest, CellFormatsDoubles) {
 TEST(ResultTableTest, CsvFileRoundTrip) {
   ResultTable table({"x"});
   table.add_row({"1"});
-  const auto path = (std::filesystem::temp_directory_path() / "hdc_table.csv").string();
+  const auto path = (hdc::test::temp_dir() / "hdc_table.csv").string();
   table.save_csv(path);
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_GT(std::filesystem::file_size(path), 0U);

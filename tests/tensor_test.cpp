@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/model.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
 
@@ -329,6 +332,61 @@ TEST(StackPropertyTest, MatmulDistributesOverHstack) {
       EXPECT_NEAR(stacked(i, 5 + j), p2(i, j), 1e-4F);
     }
   }
+}
+
+// ---------------------------------------------- scoring with cached norms ----
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(CosineNormsTest, SuppliedNormsGiveTheSameBits) {
+  const MatrixF m = random_matrix(12, 2048, 41);
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.rows(); ++j) {
+      const float plain = cosine(m.row(i), m.row(j));
+      const float normed = cosine(m.row(i), m.row(j), l2_norm(m.row(i)), l2_norm(m.row(j)));
+      EXPECT_TRUE(same_bits({&plain, 1}, {&normed, 1})) << i << "," << j;
+    }
+  }
+}
+
+TEST(CosineNormsTest, ZeroNormGuardMatches) {
+  const std::vector<float> zero(64, 0.0F);
+  const MatrixF m = random_matrix(1, 64, 42);
+  EXPECT_EQ(cosine(zero, m.row(0), 0.0F, l2_norm(m.row(0))), 0.0F);
+  EXPECT_EQ(cosine(m.row(0), zero, l2_norm(m.row(0)), 0.0F), 0.0F);
+  EXPECT_EQ(cosine(zero, m.row(0)), 0.0F);
+}
+
+TEST(CosineNormsTest, ModelScoresWithClassNormsMatchPlainScores) {
+  core::HdModel model(random_matrix(5, 2048, 43));
+  model.class_hypervectors().row(3)[0] = 0.0F;
+  const MatrixF queries = random_matrix(20, 2048, 44);
+  const std::vector<float> norms = model.class_norms();
+  ASSERT_EQ(norms.size(), 5U);
+  for (const core::Similarity metric : {core::Similarity::kCosine, core::Similarity::kDot}) {
+    for (std::size_t i = 0; i < queries.rows(); ++i) {
+      EXPECT_TRUE(same_bits(model.scores(queries.row(i), metric, norms),
+                            model.scores(queries.row(i), metric)))
+          << "query " << i;
+    }
+  }
+  EXPECT_THROW(model.scores(queries.row(0), core::Similarity::kCosine, {}), Error);
+}
+
+TEST(CosineNormsTest, PredictBatchMatchesPerRowPredictAtAnyThreadCount) {
+  const core::HdModel model(random_matrix(7, 512, 45));
+  const MatrixF queries = random_matrix(53, 512, 46);
+  std::vector<std::uint32_t> per_row;
+  for (std::size_t i = 0; i < queries.rows(); ++i) {
+    per_row.push_back(model.predict(queries.row(i), core::Similarity::kCosine));
+  }
+  for (const std::size_t threads : {1U, 4U}) {
+    parallel::set_num_threads(threads);
+    EXPECT_EQ(model.predict_batch(queries, core::Similarity::kCosine), per_row);
+  }
+  parallel::set_num_threads(0);
 }
 
 }  // namespace
