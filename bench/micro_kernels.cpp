@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,39 @@ void BM_HdcEncodeSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 617 * d);
 }
 BENCHMARK(BM_HdcEncodeSample)->Arg(2048)->Arg(10000);
+
+// The library's 4-lane tanh kernel over encoder-scale pre-activations
+// (Gaussian, sigma 4: every fdlibm branch but the special values). Each
+// iteration refills the buffer first, so the kernel sees the same inputs
+// every time; the copy is about 3% of the figure.
+void BM_TanhInplace(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<float> source(n);
+  Rng rng(23);
+  rng.fill_gaussian(source.data(), source.size(), 0.0F, 4.0F);
+  std::vector<float> values(n);
+  for (auto _ : state) {
+    std::copy(source.begin(), source.end(), values.begin());
+    tensor::tanh_inplace(values);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TanhInplace)->Arg(32768);
+
+// One serve chunk's batch encode (Arg = width d): 16 PAMAP2-shaped samples
+// (27 features), matmul with the tanh fused per row block.
+void BM_EncodeChunk(benchmark::State& state) {
+  const auto d = static_cast<std::uint32_t>(state.range(0));
+  const core::Encoder encoder(27, d, 24);
+  const auto chunk = random_f(16, 27, 25);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encoder.encode_batch(chunk));
+  }
+  state.SetItemsProcessed(state.iterations() * 16 * 27 * d);
+}
+BENCHMARK(BM_EncodeChunk)->Arg(2048);
 
 void BM_SystolicMatmulI8(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -87,7 +87,9 @@ class ByteReader {
     HDC_CHECK(count <= max_elements, "vector length exceeds sanity bound");
     require(count * sizeof(T));
     std::vector<T> values(count);
-    std::memcpy(values.data(), data_.data() + cursor_, count * sizeof(T));
+    if (count > 0) {  // memcpy needs valid pointers even for 0 bytes; an empty data() may be null
+      std::memcpy(values.data(), data_.data() + cursor_, count * sizeof(T));
+    }
     cursor_ += count * sizeof(T);
     return values;
   }

@@ -49,7 +49,7 @@ const char* opcode_name(OpCode code) {
 
 std::int8_t Quantization::quantize(float real) const {
   HDC_CHECK(enabled(), "quantize through disabled quantization params");
-  const float q = std::round(real / scale) + static_cast<float>(zero_point);
+  const float q = round_half_away(real / scale) + static_cast<float>(zero_point);
   return static_cast<std::int8_t>(std::clamp(q, -128.0F, 127.0F));
 }
 

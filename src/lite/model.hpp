@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,6 +32,24 @@ struct Quantization {
   }
   std::int8_t quantize(float real) const;
 };
+
+/// `std::round` on a float, bit for bit, without the libm call (weight and
+/// activation quantization round millions of values per lowering). Every
+/// float with |x| >= 2^23, and inf and NaN, is already integral and returned
+/// as is. Below that, rounding |x| is its int32 truncation plus a step when
+/// the (exact) fraction is at least one half; the sign goes back on last,
+/// so -0.4 rounds to -0 as with `std::round`. One comparison feeds a select,
+/// not a branch: the fraction is data, and a mispredicted branch per value
+/// would cost more than the libm call.
+inline float round_half_away(float x) {
+  const float magnitude = std::fabs(x);
+  if (!(magnitude < 8388608.0F)) {
+    return x;
+  }
+  const auto whole = static_cast<float>(static_cast<std::int32_t>(magnitude));
+  const float rounded = whole + (magnitude - whole >= 0.5F ? 1.0F : 0.0F);
+  return std::copysign(rounded, x);
+}
 
 /// The int8 kernels' requantization step: `clamp(std::round(real) +
 /// zero_point, -128, 127)` bit for bit, for a zero point in [-128, 127],

@@ -21,7 +21,7 @@ Quantization choose_activation_quant(float min, float max) {
   const float scale = (max - min) / 255.0F;
   const float zp_real = -128.0F - min / scale;
   const auto zero_point =
-      static_cast<std::int32_t>(std::clamp(std::round(zp_real), -128.0F, 127.0F));
+      static_cast<std::int32_t>(std::clamp(round_half_away(zp_real), -128.0F, 127.0F));
   return Quantization{scale, zero_point};
 }
 
@@ -37,7 +37,7 @@ QuantizedWeights quantize_weights_symmetric(const tensor::MatrixF& weights) {
   out.quant = Quantization{scale, 0};
   out.values = tensor::MatrixI8(weights.rows(), weights.cols());
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    const float q = std::round(weights.storage()[i] / scale);
+    const float q = round_half_away(weights.storage()[i] / scale);
     out.values.storage()[i] = static_cast<std::int8_t>(std::clamp(q, -127.0F, 127.0F));
   }
   return out;
@@ -57,7 +57,7 @@ QuantizedWeightsPerChannel quantize_weights_per_channel(const tensor::MatrixF& w
     const float scale = max_abs > 0.0F ? max_abs / 127.0F : 1.0F / 127.0F;
     out.channel_scales[j] = scale;
     for (std::size_t i = 0; i < weights.rows(); ++i) {
-      const float q = std::round(weights(i, j) / scale);
+      const float q = round_half_away(weights(i, j) / scale);
       out.values(i, j) = static_cast<std::int8_t>(std::clamp(q, -127.0F, 127.0F));
     }
   }

@@ -1,37 +1,71 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/parallel.hpp"
+#include "tensor/vec4.hpp"
 
 namespace hdc::tensor {
 namespace {
 
-// i-k-j loop order streams B rows and keeps C rows hot; good enough for the
-// reference path (the TPU simulator owns the "fast" path in this project).
-// Row blocks are independent, and the per-row accumulation order over k is
-// fixed, so computing [row_begin, row_end) on different threads is
+// Row blocks of A against k x column panels of B, sized so a panel stays in
+// cache across the rows of a block. Within a panel each row keeps a
+// 16-column tile of C in four vector registers over every k and stores it
+// once. Each C element still sums a_ik * b_kj in increasing k, skipping
+// a_ik == 0, so the tiling changes no bit of the result; and row blocks are
+// independent, so computing [row_begin, row_end) on different threads is
 // bit-identical to the serial loop.
 void matmul_rows(const MatrixF& a, const MatrixF& b, MatrixF& c, std::size_t row_begin,
                  std::size_t row_end) {
+  using vec4::F4;
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
   constexpr std::size_t kBlock = 64;
+  constexpr std::size_t kPanelCols = 256;
+  constexpr std::size_t kTile = 16;
+  std::array<std::size_t, kBlock> live{};  // the block's k with a_ik != 0
   for (std::size_t i0 = row_begin; i0 < row_end; i0 += kBlock) {
     const std::size_t i_end = std::min(i0 + kBlock, row_end);
     for (std::size_t k0 = 0; k0 < k; k0 += kBlock) {
       const std::size_t k_end = std::min(k0 + kBlock, k);
-      for (std::size_t i = i0; i < i_end; ++i) {
-        float* c_row = c.data() + i * n;
-        for (std::size_t kk = k0; kk < k_end; ++kk) {
-          const float a_ik = a(i, kk);
-          if (a_ik == 0.0F) {
-            continue;  // bagging feature masks zero whole columns of A
+      for (std::size_t j0 = 0; j0 < n; j0 += kPanelCols) {
+        const std::size_t j_end = std::min(j0 + kPanelCols, n);
+        for (std::size_t i = i0; i < i_end; ++i) {
+          const float* a_row = a.data() + i * k;
+          std::size_t live_count = 0;
+          for (std::size_t kk = k0; kk < k_end; ++kk) {
+            if (a_row[kk] != 0.0F) {  // bagging feature masks zero whole columns of A
+              live[live_count++] = kk;
+            }
           }
-          const float* b_row = b.data() + kk * n;
-          for (std::size_t j = 0; j < n; ++j) {
-            c_row[j] += a_ik * b_row[j];
+          float* c_row = c.data() + i * n;
+          std::size_t j = j0;
+          for (; j + kTile <= j_end; j += kTile) {
+            F4 acc0 = vec4::load(c_row + j);
+            F4 acc1 = vec4::load(c_row + j + 4);
+            F4 acc2 = vec4::load(c_row + j + 8);
+            F4 acc3 = vec4::load(c_row + j + 12);
+            for (std::size_t l = 0; l < live_count; ++l) {
+              const float a_ik = a_row[live[l]];
+              const float* b_tile = b.data() + live[l] * n + j;
+              acc0 += a_ik * vec4::load(b_tile);
+              acc1 += a_ik * vec4::load(b_tile + 4);
+              acc2 += a_ik * vec4::load(b_tile + 8);
+              acc3 += a_ik * vec4::load(b_tile + 12);
+            }
+            vec4::store(c_row + j, acc0);
+            vec4::store(c_row + j + 4, acc1);
+            vec4::store(c_row + j + 8, acc2);
+            vec4::store(c_row + j + 12, acc3);
+          }
+          for (; j < j_end; ++j) {
+            float acc = c_row[j];
+            for (std::size_t l = 0; l < live_count; ++l) {
+              acc += a_row[live[l]] * b(live[l], j);
+            }
+            c_row[j] = acc;
           }
         }
       }
@@ -148,12 +182,6 @@ std::size_t argmax(std::span<const float> v) {
 std::size_t argmax_i32(std::span<const std::int32_t> v) {
   HDC_CHECK(!v.empty(), "argmax of empty span");
   return static_cast<std::size_t>(std::max_element(v.begin(), v.end()) - v.begin());
-}
-
-void tanh_inplace(std::span<float> v) {
-  for (float& x : v) {
-    x = std::tanh(x);
-  }
 }
 
 MatrixF transpose(const MatrixF& a) {

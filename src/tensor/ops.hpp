@@ -42,7 +42,13 @@ float cosine(std::span<const float> a, std::span<const float> b, float norm_a,
 std::size_t argmax(std::span<const float> v);
 std::size_t argmax_i32(std::span<const std::int32_t> v);
 
-/// Elementwise tanh in place.
+/// tanh(x), computed by the library rather than libm: the fdlibm `tanhf`
+/// algorithm (glibc's among others), bit for bit, on every input. Simulated
+/// outputs therefore do not depend on the platform's libm.
+float tanh(float x);
+
+/// Elementwise `tanh` in place: a 4-lane vector kernel (SSE2 / NEON) whose
+/// every result equals the scalar `tanh` bit for bit.
 void tanh_inplace(std::span<float> v);
 
 /// B = A^T.

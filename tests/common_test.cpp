@@ -267,6 +267,14 @@ TEST(ByteIoTest, RoundTripVector) {
   EXPECT_EQ(out, (std::vector<std::int32_t>{1, -2, 3, -4}));
 }
 
+TEST(ByteIoTest, RoundTripEmptyVectorAtEndOfBuffer) {
+  ByteWriter writer;
+  writer.write_vector(std::vector<std::int32_t>{});
+  ByteReader reader(writer.bytes());
+  EXPECT_TRUE(reader.read_vector<std::int32_t>().empty());
+  EXPECT_TRUE(reader.exhausted());
+}
+
 TEST(ByteIoTest, TruncatedReadThrows) {
   ByteWriter writer;
   writer.write<std::uint16_t>(7);

@@ -79,9 +79,9 @@ TEST(EncoderTest, EncodeMatchesManualFormula) {
   const auto encoded = enc.encode(sample);
   ASSERT_EQ(encoded.size(), 16U);
   for (std::size_t j = 0; j < 16; ++j) {
-    const float expected = std::tanh(0.5F * enc.base()(0, j) - 1.0F * enc.base()(1, j) +
-                                     2.0F * enc.base()(2, j));
-    EXPECT_NEAR(encoded[j], expected, 1e-5F);
+    const float expected = tensor::tanh(0.5F * enc.base()(0, j) - 1.0F * enc.base()(1, j) +
+                                        2.0F * enc.base()(2, j));
+    EXPECT_EQ(encoded[j], expected);
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -92,6 +93,28 @@ TEST(LiteModelTest, RoundToInt8MatchesRoundThenClamp) {
           << "v=" << v << " zero_point=" << zero_point;
     }
   }
+}
+
+TEST(LiteModelTest, RoundHalfAwayMatchesStdRound) {
+  std::vector<float> values = {0.0F, -0.0F, 0.49999997F, -0.49999997F, 8388607.5F,
+                               -8388607.5F, 8388608.0F, -8388608.0F, 1e30F, -1e30F,
+                               INFINITY, -INFINITY};
+  for (int half = -2000; half <= 2000; ++half) {  // every tie in [-1000, 1000]
+    const float tie = static_cast<float>(half) * 0.5F;
+    values.insert(values.end(),
+                  {tie, std::nextafter(tie, -1e9F), std::nextafter(tie, 1e9F)});
+  }
+  Rng rng(62);
+  for (int i = 0; i < 20000; ++i) {
+    const float unit = static_cast<float>(rng.next_double() - 0.5);
+    values.push_back(unit * (i % 3 == 0 ? 300.0F : (i % 3 == 1 ? 4.0F : 3e7F)));
+  }
+  for (const float v : values) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(round_half_away(v)),
+              std::bit_cast<std::uint32_t>(std::round(v)))
+        << "v=" << v;
+  }
+  EXPECT_TRUE(std::isnan(round_half_away(NAN)));
 }
 
 TEST(LiteModelTest, DisabledQuantThrowsOnUse) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -149,6 +151,48 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatmulShapeTest,
                                            MatmulShape{65, 63, 130}, MatmulShape{2, 200, 33},
                                            MatmulShape{128, 1, 128}));
 
+bool same_bits(const MatrixF& x, const MatrixF& y) {
+  return x.same_shape(y) && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+/// The plain i-k-j float loop: each C element sums a_ik * b_kj in
+/// increasing k, skipping a_ik == 0.
+MatrixF ikj_matmul(const MatrixF& a, const MatrixF& b) {
+  MatrixF c(a.rows(), b.cols(), 0.0F);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      if (a(i, k) == 0.0F) {
+        continue;
+      }
+      for (std::size_t j = 0; j < b.cols(); ++j) {
+        c(i, j) += a(i, k) * b(k, j);
+      }
+    }
+  }
+  return c;
+}
+
+TEST(MatmulTest, TiledKernelMatchesPlainLoopBitForBit) {
+  // Shapes cross every blocking edge: k and rows past 64, columns past a
+  // 256-column panel and off the 16-column tile; zeroed columns of A take
+  // the skip, as a bagging feature mask does.
+  for (const MatmulShape shape : {MatmulShape{3, 5, 7}, MatmulShape{70, 130, 300},
+                                  MatmulShape{16, 27, 2048}, MatmulShape{2, 65, 17}}) {
+    MatrixF a = random_matrix(shape.m, shape.k, shape.k * 7 + 1);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      for (std::size_t k = 0; k < a.cols(); k += 3) {
+        a(i, k) = 0.0F;
+      }
+    }
+    const MatrixF b = random_matrix(shape.k, shape.n, shape.n * 5 + 2);
+    const MatrixF expected = ikj_matmul(a, b);
+    EXPECT_TRUE(same_bits(matmul(a, b), expected));
+    MatrixF tanh_expected = expected;
+    tanh_inplace({tanh_expected.data(), tanh_expected.size()});
+    EXPECT_TRUE(same_bits(matmul_tanh(a, b), tanh_expected));
+  }
+}
+
 TEST(MatmulI8Test, SmallKnownProduct) {
   MatrixI8 a(1, 2);
   a(0, 0) = 3;
@@ -267,6 +311,93 @@ TEST(TanhTest, BoundedAndOdd) {
   EXPECT_NEAR(v[4], 1.0F, 1e-5F);
   EXPECT_EQ(v[2], 0.0F);
   EXPECT_NEAR(v[1], -v[3], 1e-6F);
+}
+
+/// Runs `inputs` through the vector kernel (padded to whole 4-lane groups
+/// so no input takes the scalar tail) and checks kernel, scalar port and
+/// libm agree bit for bit; a NaN input must give NaN from all three.
+void expect_tanh_exact(const std::vector<float>& inputs) {
+  std::vector<float> kernel(inputs);
+  kernel.resize((inputs.size() + 3) / 4 * 4, 0.0F);
+  tanh_inplace(kernel);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const float x = inputs[i];
+    const float scalar = tensor::tanh(x);
+    const float libm = std::tanh(x);
+    if (std::isnan(x)) {
+      EXPECT_TRUE(std::isnan(kernel[i]) && std::isnan(scalar) && std::isnan(libm));
+      continue;
+    }
+    const auto bits = std::bit_cast<std::uint32_t>(libm);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(scalar), bits)
+        << "scalar, x bits " << std::hex << std::bit_cast<std::uint32_t>(x);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(kernel[i]), bits)
+        << "kernel, x bits " << std::hex << std::bit_cast<std::uint32_t>(x);
+  }
+}
+
+TEST(TanhTest, StridedBitPatternSweepMatchesLibm) {
+  std::vector<float> inputs;
+  for (std::uint64_t bits = 12345; bits < (1ULL << 32); bits += 4093) {  // ~1M patterns
+    inputs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
+  }
+  expect_tanh_exact(inputs);
+}
+
+TEST(TanhTest, BranchBoundariesMatchLibm) {
+  // fdlibm's thresholds on |x|: tanh's 2^-55, 1 and 22; expm1's 0.5 ln2,
+  // 1.5 ln2, 2^-25 and 27 ln2 (reached as 2|x| or -2|x|, so also halved).
+  const std::uint32_t boundaries[] = {0x24000000, 0x3f800000, 0x41b00000, 0x3eb17218,
+                                      0x3F851592, 0x33000000, 0x4195b844};
+  std::vector<float> inputs;
+  for (const std::uint32_t boundary : boundaries) {
+    for (const float at : {std::bit_cast<float>(boundary), std::bit_cast<float>(boundary) / 2}) {
+      for (const std::uint32_t sign : {0U, 0x80000000U}) {
+        const std::uint32_t bits = std::bit_cast<std::uint32_t>(at) | sign;
+        for (const std::uint32_t b : {bits - 1, bits, bits + 1}) {
+          inputs.push_back(std::bit_cast<float>(b));
+        }
+      }
+    }
+  }
+  expect_tanh_exact(inputs);
+}
+
+TEST(TanhTest, SpecialValuesMatchLibm) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm_min = std::numeric_limits<float>::denorm_min();
+  const float norm_min = std::numeric_limits<float>::min();
+  expect_tanh_exact({0.0F, -0.0F, denorm_min, -denorm_min, norm_min / 2, -norm_min / 2,
+                     std::nextafter(norm_min, 0.0F), -std::nextafter(norm_min, 0.0F), inf,
+                     -inf, std::numeric_limits<float>::max(),
+                     -std::numeric_limits<float>::max()});
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(tensor::tanh(-0.0F)), 0x80000000U);
+  EXPECT_EQ(tensor::tanh(inf), 1.0F);
+  EXPECT_EQ(tensor::tanh(-inf), -1.0F);
+}
+
+TEST(TanhTest, NanMapsToNan) {
+  const float quiet = std::numeric_limits<float>::quiet_NaN();
+  expect_tanh_exact({quiet, -quiet, std::bit_cast<float>(0x7f800001U),
+                     std::bit_cast<float>(0xff800001U), std::bit_cast<float>(0x7fffffffU)});
+}
+
+TEST(TanhTest, EverySpanLengthAndOffsetMatchesScalar) {
+  std::vector<float> source(16);
+  Rng rng(71);
+  rng.fill_gaussian(source.data(), source.size(), 0.0F, 3.0F);
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    for (std::size_t length = 0; length <= 9; ++length) {
+      std::vector<float> values(source);
+      tanh_inplace({values.data() + offset, length});
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        const bool inside = i >= offset && i < offset + length;
+        const float expected = inside ? tensor::tanh(source[i]) : source[i];
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(values[i]), std::bit_cast<std::uint32_t>(expected))
+            << "offset " << offset << " length " << length << " index " << i;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- reshape ----
